@@ -668,23 +668,7 @@ impl AgentCore {
             }
             Message::Ping => Message::Pong,
             Message::StatsQuery => {
-                // Mirror the process-wide protocol downgrade count into
-                // this registry (monotone catch-up — the counter may lag
-                // between stats queries, never run backwards).
-                let c = self.metrics.counter("proto.version_downgrade");
-                let global = netsolve_proto::version_downgrades();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
-                // Likewise for sends that missed the thread-local write
-                // scratch (reentrant writers only; should stay at zero).
-                let c = self.metrics.counter("proto.write_scratch_fallback");
-                let global = netsolve_proto::write_scratch_fallbacks();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
+                netsolve_proto::mirror_version_downgrades(&self.metrics);
                 Message::StatsReply(self.metrics.snapshot("agent"))
             }
             Message::FleetStatsQuery => {
@@ -697,14 +681,7 @@ impl AgentCore {
                 }
             }
             Message::TraceQuery { trace_id } => {
-                // Same monotone downgrade catch-up as StatsQuery: a trace
-                // pull from an old peer still surfaces in the counter.
-                let c = self.metrics.counter("proto.version_downgrade");
-                let global = netsolve_proto::version_downgrades();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
+                netsolve_proto::mirror_version_downgrades(&self.metrics);
                 Message::TraceReply {
                     component: "agent".to_string(),
                     spans: self.tracer.snapshot_trace(*trace_id),

@@ -1,8 +1,9 @@
 //! The live agent daemon: an [`AgentCore`] served over a transport.
 //!
-//! One accept loop; each connection gets its own handler thread running a
-//! simple request/reply protocol (every incoming message is answered).
-//! Works identically over TCP and the in-process channel transport.
+//! Runs on the shared [`DaemonRuntime`]: one accept loop, each connection
+//! on its own handler thread running a simple request/reply protocol
+//! (every incoming message is answered), periodic tasks woken at once by
+//! stop. Works identically over TCP and the in-process channel transport.
 //!
 //! The daemon also runs a heartbeat prober: every probe interval it dials
 //! each registered server with a `Ping` and feeds the outcome into the
@@ -18,7 +19,6 @@
 //! answers again.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,7 +26,7 @@ use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::config::HeartbeatPolicy;
 use netsolve_core::error::Result;
 use netsolve_core::ids::ServerId;
-use netsolve_net::{Connection, Transport};
+use netsolve_net::{AcceptPolicy, Connection, DaemonRuntime, StopSignal, Transport};
 use parking_lot::Mutex;
 
 use crate::core::AgentCore;
@@ -35,17 +35,22 @@ use crate::core::AgentCore;
 pub struct AgentDaemon {
     core: Arc<Mutex<AgentCore>>,
     address: String,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    heartbeat_thread: Option<std::thread::JoinHandle<()>>,
-    gossip_thread: Option<std::thread::JoinHandle<()>>,
-    telemetry_thread: Option<std::thread::JoinHandle<()>>,
+    runtime: DaemonRuntime,
     peers: Arc<Mutex<Vec<String>>>,
-    transport: Arc<dyn Transport>,
 }
 
 /// How long a federated agent waits for each peer's answer.
 const PEER_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// What every connection thread shares.
+struct ConnShared {
+    core: Arc<Mutex<AgentCore>>,
+    clock: Arc<dyn Clock>,
+    transport: Arc<dyn Transport>,
+    peers: Arc<Mutex<Vec<String>>>,
+    peer_down: Arc<Mutex<HashSet<String>>>,
+    stop: StopSignal,
+}
 
 impl AgentDaemon {
     /// Start an agent listening at `hint` on the given transport, serving
@@ -115,106 +120,73 @@ impl AgentDaemon {
         let listener = transport.listen(hint)?;
         let address = listener.address();
         core.set_self_address(&address);
+        let metrics = core.metrics();
+        let (gossip_interval, telemetry) =
+            (core.gossip_policy().interval_secs, core.telemetry_policy());
         let core = Arc::new(Mutex::new(core));
-        let stop = Arc::new(AtomicBool::new(false));
         let peers = Arc::new(Mutex::new(peers));
         let peer_down: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
+        let mut runtime = DaemonRuntime::new(Arc::clone(&transport));
 
-        let heartbeat_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            std::thread::Builder::new()
-                .name("agent-heartbeat".into())
-                .spawn(move || run_heartbeat(transport, core, clock, stop, heartbeat))
-                .expect("spawn agent heartbeat thread")
-        };
-
+        runtime.every(
+            "agent-heartbeat",
+            Duration::from_secs_f64(heartbeat.probe_interval_secs.max(0.001)),
+            heartbeat_round(
+                Arc::clone(&transport),
+                Arc::clone(&core),
+                Arc::clone(&clock),
+                heartbeat,
+            ),
+        )?;
         // The gossip loop runs even when the peer list starts empty:
         // peers can arrive later via `set_peers` (live demos bind
         // ephemeral ports first, then wire the mesh).
-        let gossip_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            let peers = Arc::clone(&peers);
-            let peer_down = Arc::clone(&peer_down);
-            let self_address = address.clone();
-            std::thread::Builder::new()
-                .name("agent-gossip".into())
-                .spawn(move || {
-                    run_gossip(transport, core, clock, stop, self_address, peers, peer_down)
-                })
-                .expect("spawn agent gossip thread")
-        };
-
+        runtime.every(
+            "agent-gossip",
+            Duration::from_secs_f64(gossip_interval.max(0.001)),
+            gossip_round(
+                Arc::clone(&transport),
+                Arc::clone(&core),
+                Arc::clone(&clock),
+                address.clone(),
+                Arc::clone(&peers),
+                Arc::clone(&peer_down),
+            ),
+        )?;
         // Telemetry sampler: ticks this agent's own windowed series,
         // scrapes locally-registered servers for their digests, and
         // expires dead peers' series — the state gossip replicates.
-        let telemetry_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            let self_address = address.clone();
-            std::thread::Builder::new()
-                .name("agent-telemetry".into())
-                .spawn(move || run_telemetry(transport, core, clock, stop, self_address))
-                .expect("spawn agent telemetry thread")
-        };
+        if telemetry.digests {
+            runtime.every(
+                "agent-telemetry",
+                Duration::from_secs_f64(telemetry.tick_secs.clamp(0.005, 60.0)),
+                telemetry_round(
+                    Arc::clone(&transport),
+                    Arc::clone(&core),
+                    Arc::clone(&clock),
+                    address.clone(),
+                ),
+            )?;
+        }
 
-        let accept_core = Arc::clone(&core);
-        let accept_stop = Arc::clone(&stop);
-        let accept_transport = Arc::clone(&transport);
-        let accept_peers = Arc::clone(&peers);
-        let accept_thread = std::thread::Builder::new()
-            .name("agent-accept".into())
-            .spawn(move || {
-                loop {
-                    match listener.accept() {
-                        Ok(conn) => {
-                            if accept_stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let core = Arc::clone(&accept_core);
-                            let clock = Arc::clone(&clock);
-                            let transport = Arc::clone(&accept_transport);
-                            let peers = Arc::clone(&accept_peers);
-                            let peer_down = Arc::clone(&peer_down);
-                            let stop = Arc::clone(&accept_stop);
-                            std::thread::Builder::new()
-                                .name("agent-conn".into())
-                                .spawn(move || {
-                                    serve_connection(
-                                        conn, core, clock, transport, peers, peer_down, stop,
-                                    )
-                                })
-                                .expect("spawn agent connection thread");
-                        }
-                        Err(_) => {
-                            if accept_stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // transient accept failure; keep serving
-                        }
-                    }
-                }
-            })
-            .expect("spawn agent accept thread");
-
-        Ok(AgentDaemon {
-            core,
-            address,
-            stop,
-            accept_thread: Some(accept_thread),
-            heartbeat_thread: Some(heartbeat_thread),
-            gossip_thread: Some(gossip_thread),
-            telemetry_thread: Some(telemetry_thread),
-            peers,
+        // The agent answers every connection: `r11_admission` holds one
+        // open per in-flight request, so the cap is effectively unbounded.
+        let shared = ConnShared {
+            core: Arc::clone(&core),
+            clock,
             transport,
-        })
+            peers: Arc::clone(&peers),
+            peer_down,
+            stop: runtime.stop_signal(),
+        };
+        runtime.serve(
+            listener,
+            AcceptPolicy { role: "agent", max_connections: u32::MAX, tracer: None },
+            &metrics,
+            move |conn| serve_connection(conn, &shared),
+        )?;
+
+        Ok(AgentDaemon { core, address, runtime, peers })
     }
 
     /// Address clients and servers should dial.
@@ -235,66 +207,39 @@ impl AgentDaemon {
         *self.peers.lock() = peers;
     }
 
-    /// Stop accepting connections and join the accept thread. Existing
-    /// per-connection threads drop their connection at the next request
-    /// boundary without replying — a stopped agent goes silent the way a
-    /// crashed one does, so pinned clients fail over instead of talking
-    /// to a zombie.
+    /// Stop accepting connections and join the accept and periodic
+    /// threads. Existing per-connection threads drop their connection at
+    /// the next request boundary without replying — a stopped agent goes
+    /// silent the way a crashed one does, so pinned clients fail over
+    /// instead of talking to a zombie. Dropping the daemon also stops it.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.transport.unblock(&self.address);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.heartbeat_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.gossip_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.telemetry_thread.take() {
-            let _ = t.join();
-        }
+        self.runtime.stop();
     }
 }
 
-/// Heartbeat prober: every `probe_interval_secs`, dial each registered
-/// server with a `Ping`. A `Pong` within the probe timeout clears the
-/// server's fault record; `miss_threshold` consecutive misses force-mark
-/// it down. Miss counts deliberately survive the down-mark, so the
-/// half-open probe after the cooldown sends a server straight back down
-/// on a single further miss (and fully recovers it on a single success).
-fn run_heartbeat(
+/// Heartbeat prober, run every `probe_interval_secs`: dial each
+/// registered server with a `Ping`. A `Pong` within the probe timeout
+/// clears the server's fault record; `miss_threshold` consecutive misses
+/// force-mark it down. Miss counts deliberately survive the down-mark, so
+/// the half-open probe after the cooldown sends a server straight back
+/// down on a single further miss (and fully recovers it on a single
+/// success).
+fn heartbeat_round(
     transport: Arc<dyn Transport>,
     core: Arc<Mutex<AgentCore>>,
     clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
     policy: HeartbeatPolicy,
-) {
-    let interval = Duration::from_secs_f64(policy.probe_interval_secs.max(0.001));
+) -> impl FnMut(&StopSignal) + Send + 'static {
     let probe_timeout = Duration::from_secs_f64(policy.probe_timeout_secs.max(0.001));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
     let mut misses: HashMap<ServerId, u32> = HashMap::new();
     let (metrics, tracer) = {
         let core = core.lock();
         (core.metrics(), core.tracer())
     };
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
+    move |stop| {
         let targets = core.lock().probe_targets(clock.now());
         for (server, address) in targets {
-            if stop.load(Ordering::Acquire) {
+            if stop.is_stopped() {
                 return;
             }
             // Probe outside the core lock: a black-holed dial may block
@@ -336,21 +281,8 @@ fn probe_once(transport: &Arc<dyn Transport>, address: &str, timeout: Duration) 
     )
 }
 
-impl Drop for AgentDaemon {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn serve_connection(
-    mut conn: Box<dyn Connection>,
-    core: Arc<Mutex<AgentCore>>,
-    clock: Arc<dyn Clock>,
-    transport: Arc<dyn Transport>,
-    peers: Arc<Mutex<Vec<String>>>,
-    peer_down: Arc<Mutex<HashSet<String>>>,
-    stop: Arc<AtomicBool>,
-) {
+fn serve_connection(mut conn: Box<dyn Connection>, shared: &ConnShared) {
+    let ConnShared { core, clock, transport, peers, peer_down, stop } = shared;
     loop {
         let msg = match conn.recv() {
             Ok(m) => m,
@@ -359,7 +291,7 @@ fn serve_connection(
         // A stopped daemon answers nothing: dropping the connection
         // without a reply is what a crashed agent looks like on the
         // wire, and it is what pushes a pinned client into failover.
-        if stop.load(Ordering::Acquire) {
+        if stop.is_stopped() {
             return;
         }
         let mut reply = {
@@ -385,12 +317,12 @@ fn serve_connection(
         if !live_peers.is_empty() && matches!(reply, netsolve_proto::Message::Error { .. }) {
             match &msg {
                 netsolve_proto::Message::ServerQuery(q) => {
-                    if let Some(candidates) = query_peers(&transport, &live_peers, q) {
+                    if let Some(candidates) = query_peers(transport, &live_peers, q) {
                         reply = netsolve_proto::Message::ServerList { candidates };
                     }
                 }
                 netsolve_proto::Message::DescribeProblem { problem } => {
-                    if let Some(pdl) = describe_via_peers(&transport, &live_peers, problem) {
+                    if let Some(pdl) = describe_via_peers(transport, &live_peers, problem) {
                         reply = netsolve_proto::Message::ProblemDescription { pdl };
                     }
                 }
@@ -414,42 +346,29 @@ enum GossipOutcome {
     Unreachable,
 }
 
-/// Gossip loop: every gossip interval, push the full local registration
-/// view to each peer and treat the answer as a liveness signal. Expiry of
-/// stale gossip-learned entries also runs here, so a dead peer's servers
-/// age out even when no further gossip arrives to trigger merge-side
-/// expiry.
-fn run_gossip(
+/// Gossip round, run every gossip interval: push the full local
+/// registration view to each peer and treat the answer as a liveness
+/// signal. Expiry of stale gossip-learned entries also runs here, so a
+/// dead peer's servers age out even when no further gossip arrives to
+/// trigger merge-side expiry.
+fn gossip_round(
     transport: Arc<dyn Transport>,
     core: Arc<Mutex<AgentCore>>,
     clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
     self_address: String,
     peers: Arc<Mutex<Vec<String>>>,
     peer_down: Arc<Mutex<HashSet<String>>>,
-) {
+) -> impl FnMut(&StopSignal) + Send + 'static {
     let (metrics, tracer, policy) = {
         let core = core.lock();
         (core.metrics(), core.tracer(), core.gossip_policy())
     };
-    let interval = Duration::from_secs_f64(policy.interval_secs.max(0.001));
     let round_timeout = Duration::from_secs_f64(policy.round_timeout_secs.max(0.001));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
     let mut misses: HashMap<String, u32> = HashMap::new();
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
+    move |stop| {
         let round_peers: Vec<String> = peers.lock().clone();
         if round_peers.is_empty() {
-            continue;
+            return;
         }
         metrics.counter("agent.gossip_rounds").inc();
         let now = clock.now();
@@ -470,7 +389,7 @@ fn run_gossip(
             digests: stats_digests,
         };
         for peer in &round_peers {
-            if stop.load(Ordering::Acquire) {
+            if stop.is_stopped() {
                 return;
             }
             // Push outside the core lock — a black-holed peer may cost the
@@ -534,49 +453,33 @@ fn run_gossip(
     }
 }
 
-/// Telemetry sampler loop: each tick, (1) snapshot the agent's metrics
-/// registry into its windowed series and fold the series into the
-/// digest store as this agent's own entry, (2) scrape every live
+/// Telemetry sampler, run every telemetry tick: (1) snapshot the agent's
+/// metrics registry into its windowed series and fold the series into
+/// the digest store as this agent's own entry, (2) scrape every live
 /// locally-registered server with `FleetStatsQuery` and store its
 /// digest, (3) TTL-expire digests of daemons nobody has refreshed.
 /// Gossip then carries the whole store to peers, so one scrape of any
 /// agent returns the fleet's recent history.
-fn run_telemetry(
+fn telemetry_round(
     transport: Arc<dyn Transport>,
     core: Arc<Mutex<AgentCore>>,
     clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
     self_address: String,
-) {
+) -> impl FnMut(&StopSignal) + Send + 'static {
     let (metrics, policy) = {
         let core = core.lock();
         (core.metrics(), core.telemetry_policy())
     };
-    if !policy.digests {
-        return;
-    }
     let series = netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
         tick_secs: policy.tick_secs,
         slots: policy.window_slots,
     });
     let window_secs = policy.tick_secs * policy.window_slots as f64;
-    let interval = Duration::from_secs_f64(policy.tick_secs.clamp(0.005, 60.0));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
     // Seed the series baseline at startup so events that land before the
     // first tick show up in the first delta slot instead of vanishing
     // into it.
     series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
+    move |stop| {
         series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
         let own = series.digest(&self_address, "agent", window_secs);
         let targets = {
@@ -589,7 +492,7 @@ fn run_telemetry(
         // Scrape outside the core lock — a wedged server may cost the
         // full call timeout, and queries must keep flowing meanwhile.
         for address in targets {
-            if stop.load(Ordering::Acquire) {
+            if stop.is_stopped() {
                 return;
             }
             let Ok(mut conn) = transport.connect(&address) else {
@@ -781,6 +684,32 @@ mod tests {
             AgentDaemon::start(transport, "agent", AgentCore::with_defaults()).unwrap();
         daemon.stop();
         daemon.stop();
+    }
+
+    /// Stop wakes the heartbeat, gossip and telemetry threads at once
+    /// instead of waiting out their periods.
+    #[test]
+    fn stop_returns_promptly_with_a_long_telemetry_tick() {
+        use crate::balance::Policy;
+        use netsolve_core::config::{AgentConfig, TelemetryPolicy};
+        use netsolve_net::NetworkView;
+        use std::time::Instant;
+
+        let config = AgentConfig {
+            telemetry: TelemetryPolicy { tick_secs: 5.0, ..TelemetryPolicy::default() },
+            ..AgentConfig::default()
+        };
+        let core =
+            AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
+        let transport: Arc<dyn Transport> = Arc::new(ChannelNetwork::new());
+        let mut daemon = AgentDaemon::start_federated(transport, "agent", core, vec!["peer".into()])
+            .unwrap();
+        // Let every periodic thread reach its wait.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        daemon.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "agent stop took {took:?}");
     }
 
     #[test]

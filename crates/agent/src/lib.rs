@@ -8,8 +8,9 @@
 //!   `T = T_net + complexity(n)/p'` minimum-completion-time predictor and
 //!   the baseline policies (round-robin, random, load-only, fastest-CPU,
 //!   nearest-network) it is compared against;
-//! * [`workload`] — NetSolve's lazy workload-information policy
-//!   (threshold reporting, time-to-live aging);
+//! * [`workload`] — the agent half of NetSolve's lazy workload policy
+//!   (time-to-live aging; the server-side threshold rule is
+//!   `WorkloadPolicy::should_report`);
 //! * [`fault`] — per-server failure tracking with down/cooldown semantics;
 //! * [`registry`] — the server and problem index built from PDL
 //!   registrations;
@@ -30,7 +31,7 @@ pub use core::AgentCore;
 pub use daemon::AgentDaemon;
 pub use fault::FaultTracker;
 pub use registry::{standard_descriptor, RegisteredServer, ServerRegistry};
-pub use workload::{should_report, WorkloadManager};
+pub use workload::WorkloadManager;
 
 #[cfg(test)]
 mod proptests {

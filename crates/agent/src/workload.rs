@@ -1,8 +1,8 @@
 //! Workload management: NetSolve's lazy workload-information policy.
 //!
 //! Servers measure their own workload periodically and report it to the
-//! agent **only when it changed meaningfully** (threshold), keeping agent
-//! traffic low. The agent, in turn, refuses to trust a report forever: once
+//! agent **only when it changed meaningfully** (threshold, see
+//! [`WorkloadPolicy::should_report`]), keeping agent traffic low. The agent, in turn, refuses to trust a report forever: once
 //! a report's age exceeds the time-to-live, the server is assumed to be at
 //! a pessimistic `stale_workload` until it speaks again. Experiment R4
 //! sweeps these knobs and shows why they matter.
@@ -74,18 +74,6 @@ impl WorkloadManager {
     }
 }
 
-/// Server-side reporting decision: given the last *sent* value and the
-/// freshly measured one, should the server bother the agent?
-///
-/// This is the threshold half of the lazy policy; the periodic half is the
-/// server's report interval timer.
-pub fn should_report(last_sent: Option<f64>, measured: f64, policy: &WorkloadPolicy) -> bool {
-    match last_sent {
-        None => true,
-        Some(prev) => (measured - prev).abs() >= policy.report_threshold,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,14 +142,5 @@ mod tests {
         m.forget(s);
         assert_eq!(m.tracked(), 0);
         assert_eq!(m.effective(s, SimTime::ZERO), 100.0);
-    }
-
-    #[test]
-    fn threshold_reporting() {
-        let p = policy();
-        assert!(should_report(None, 0.0, &p), "first report always sent");
-        assert!(!should_report(Some(50.0), 55.0, &p), "small change suppressed");
-        assert!(should_report(Some(50.0), 60.0, &p), "threshold change sent");
-        assert!(should_report(Some(50.0), 35.0, &p), "drops also reported");
     }
 }

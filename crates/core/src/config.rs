@@ -21,6 +21,21 @@ pub struct WorkloadPolicy {
     pub stale_workload: f64,
 }
 
+impl WorkloadPolicy {
+    /// Server-side reporting decision: given the last *sent* value and
+    /// the freshly measured one, should the server bother the agent?
+    ///
+    /// This is the threshold half of the lazy policy; the periodic half
+    /// is the server's report interval timer. The live server reporter
+    /// and the simulator both apply this one rule.
+    pub fn should_report(&self, last_sent: Option<f64>, measured: f64) -> bool {
+        match last_sent {
+            None => true,
+            Some(prev) => (measured - prev).abs() >= self.report_threshold,
+        }
+    }
+}
+
 impl Default for WorkloadPolicy {
     fn default() -> Self {
         // NetSolve's documented defaults were on the order of minutes; we
@@ -294,6 +309,15 @@ mod tests {
         let a = AgentConfig::default();
         assert!(a.candidates_returned.0 >= 1);
         assert!(a.pending_tracking, "pending tracking on by default");
+    }
+
+    #[test]
+    fn threshold_reporting() {
+        let p = WorkloadPolicy { report_threshold: 10.0, ..WorkloadPolicy::default() };
+        assert!(p.should_report(None, 0.0), "first report always sent");
+        assert!(!p.should_report(Some(50.0), 55.0), "small change suppressed");
+        assert!(p.should_report(Some(50.0), 60.0), "threshold change sent");
+        assert!(p.should_report(Some(50.0), 35.0), "drops also reported");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`clock`] — real and virtual time behind one [`clock::Clock`] trait so
 //!   workload-aging logic is testable deterministically;
 //! * [`rng::Rng64`] — seeded randomness for reproducible experiments;
-//! * [`stats`] — EWMA/percentile/histogram helpers for the agent and the
+//! * [`stats`] — EWMA and exact-percentile helpers for the agent and the
 //!   experiment harness.
 
 #![warn(missing_docs)]

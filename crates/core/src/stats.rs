@@ -1,96 +1,6 @@
 //! Lightweight statistics used by the agent (EWMA network estimates) and by
-//! the experiment harness (latency summaries, histograms).
-
-/// Streaming mean/variance via Welford's algorithm, plus min/max.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Incorporate one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+inf if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! the experiment harness (exact percentile summaries). Live daemons keep
+//! their latency histograms in `netsolve-obs`.
 
 /// Exact percentile summary over a stored sample (fine for experiment sizes).
 #[derive(Debug, Clone, Default)]
@@ -222,97 +132,12 @@ impl Ewma {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range clamping,
-/// used to print the request-latency distributions in the experiment output.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0, "invalid histogram bounds");
-        Histogram { lo, hi, bins: vec![0; bins] }
-    }
-
-    /// Record one observation; values outside the range clamp to the edge
-    /// buckets.
-    pub fn record(&mut self, x: f64) {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let idx = ((x - self.lo) / width).floor();
-        let idx = idx.clamp(0.0, (self.bins.len() - 1) as f64) as usize;
-        self.bins[idx] += 1;
-    }
-
-    /// Bucket counts in order.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// `(bucket_midpoint, count)` pairs, convenient for printing series.
-    pub fn series(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * width, c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic data set is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-    }
-
-    #[test]
     fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         let mut sample = Sample::new();
         assert_eq!(sample.median(), 0.0);
         assert_eq!(sample.mean(), 0.0);
@@ -349,19 +174,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record(-3.0); // clamps to first bucket
-        h.record(0.5);
-        h.record(9.9);
-        h.record(42.0); // clamps to last bucket
-        assert_eq!(h.counts(), &[2, 0, 0, 0, 2]);
-        assert_eq!(h.total(), 4);
-        let series = h.series();
-        assert_eq!(series.len(), 5);
-        assert!((series[0].0 - 1.0).abs() < 1e-12);
     }
 }

@@ -13,12 +13,15 @@
 //!   feeding the `T_net` term of the completion-time predictor;
 //! * [`chaos`] — a seeded fault-injecting decorator over any transport
 //!   (refused dials, resets, CRC-detectable corruption, black holes,
-//!   latency) for end-to-end robustness testing.
+//!   latency) for end-to-end robustness testing;
+//! * [`daemon`] — the runtime both daemons run on: one capped accept
+//!   loop, periodic tasks and a stop signal that wakes them at once.
 
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod chaos;
+pub mod daemon;
 pub mod link;
 pub mod metrics;
 pub mod tcp;
@@ -26,6 +29,7 @@ pub mod transport;
 
 pub use channel::ChannelNetwork;
 pub use chaos::{ChaosPolicy, ChaosStats, ChaosTransport};
+pub use daemon::{AcceptPolicy, DaemonRuntime, StopSignal};
 pub use link::LinkModel;
 pub use metrics::NetworkView;
 pub use tcp::TcpTransport;

@@ -17,7 +17,8 @@
 //! rejected before any bytes hit the wire, never silently truncated
 //! through the `u32` length field.
 //!
-//! Three writer paths exist:
+//! Three writer paths exist, and every one takes its buffer from the
+//! caller (there is no buffer-less writer):
 //!
 //! * [`encode_frame_into`] / [`write_message_into`] — the hot path: the
 //!   message is marshaled **directly into the frame buffer** (header
@@ -52,7 +53,6 @@
 //! interoperating; downgraded decodes are counted and surfaced as the
 //! `proto.version_downgrade` counter in daemon stats.
 
-use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,16 +105,6 @@ pub const DEFAULT_STREAM_THRESHOLD: usize = 1024 * 1024;
 /// Process-wide count of frames accepted at a version below [`VERSION`].
 static VERSION_DOWNGRADES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of [`write_message`] calls that could not use the
-/// shared thread-local scratch and fell back to a throwaway buffer.
-static WRITE_SCRATCH_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread frame scratch backing [`write_message`], so callers
-    /// without a per-connection buffer still amortize the allocation.
-    static WRITE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 /// How many frames this process has accepted from older-version peers
 /// (decoded under the sender's version). Daemons mirror this into their
 /// metrics registry as `proto.version_downgrade` when answering
@@ -123,12 +113,16 @@ pub fn version_downgrades() -> u64 {
     VERSION_DOWNGRADES.load(Ordering::Relaxed)
 }
 
-/// How many [`write_message`] sends in this process hit the throwaway
-/// allocation path instead of the thread-local scratch (only possible if
-/// a writer reentrantly sends while a send is in progress). Daemons
-/// mirror this as `proto.write_scratch_fallback`.
-pub fn write_scratch_fallbacks() -> u64 {
-    WRITE_SCRATCH_FALLBACKS.load(Ordering::Relaxed)
+/// Catch `metrics`' `proto.version_downgrade` counter up with
+/// [`version_downgrades`]. Monotone: the counter may lag between calls,
+/// never run backwards. Daemons call this before answering a stats or
+/// trace pull, so a pull from an old peer already shows in the counter.
+pub fn mirror_version_downgrades(metrics: &netsolve_obs::MetricsRegistry) {
+    let c = metrics.counter("proto.version_downgrade");
+    let (global, seen) = (version_downgrades(), c.get());
+    if global > seen {
+        c.add(global - seen);
+    }
 }
 
 fn oversize(len: usize) -> NetSolveError {
@@ -201,22 +195,6 @@ pub fn write_message_into(
     w.write_all(scratch)?;
     w.flush()?;
     Ok(())
-}
-
-/// Write one framed message without a caller-provided buffer. The frame
-/// is built in a thread-local scratch that persists across calls, so
-/// even buffer-less callers stop paying a fresh allocation per send;
-/// the (reentrancy-only) throwaway fallback is counted in
-/// [`write_scratch_fallbacks`].
-pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<()> {
-    WRITE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => write_message_into(w, msg, &mut scratch),
-        Err(_) => {
-            WRITE_SCRATCH_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-            let mut buf = Vec::new();
-            write_message_into(w, msg, &mut buf)
-        }
-    })
 }
 
 /// Write one framed message through a bounded chunk buffer — the frame
@@ -505,9 +483,9 @@ mod tests {
             Message::WorkloadReport { server_id: 3, workload: 55.0 },
             Message::Error { code: 7, detail: "x".into() },
         ];
-        let mut buf = Vec::new();
+        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
         for m in &msgs {
-            write_message(&mut buf, m).unwrap();
+            write_message_into(&mut buf, m, &mut scratch).unwrap();
         }
         let mut cursor = std::io::Cursor::new(buf);
         for m in &msgs {
@@ -970,26 +948,6 @@ mod tests {
                 fr.read_from(&mut cur).is_err(),
                 "truncated streamed frame (cut={cut}) parsed as valid"
             );
-        }
-    }
-
-    /// `write_message` reuses a thread-local scratch: the fallback
-    /// counter stays untouched by plain sequential sends.
-    #[test]
-    fn write_message_uses_thread_local_scratch() {
-        let before = write_scratch_fallbacks();
-        let mut wire = Vec::new();
-        for _ in 0..10 {
-            write_message(&mut wire, &Message::Ping).unwrap();
-        }
-        assert_eq!(
-            write_scratch_fallbacks(),
-            before,
-            "sequential sends must never hit the throwaway fallback"
-        );
-        let mut cur = std::io::Cursor::new(wire);
-        for _ in 0..10 {
-            assert_eq!(read_message(&mut cur).unwrap(), Message::Ping);
         }
     }
 

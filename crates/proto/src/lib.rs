@@ -15,10 +15,9 @@ pub mod frame;
 pub mod message;
 
 pub use frame::{
-    encode_frame_into, frame_bytes, frame_bytes_versioned, parse_frame, read_message,
-    version_downgrades, write_message, write_message_into, write_message_streamed,
-    write_scratch_fallbacks, FrameReader, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD,
-    MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
+    encode_frame_into, frame_bytes, frame_bytes_versioned, mirror_version_downgrades, parse_frame,
+    read_message, version_downgrades, write_message_into, write_message_streamed, FrameReader,
+    DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
 };
 pub use message::{Candidate, GossipEntry, Message, QueryShape, ServerDescriptor, ServerInfo};
 

@@ -346,37 +346,14 @@ impl ServerCore {
                 }
             }
             Message::TraceQuery { trace_id } => {
-                // Same monotone downgrade catch-up as StatsQuery: a trace
-                // pull from an old peer still surfaces in the counter.
-                let c = self.metrics.counter("proto.version_downgrade");
-                let global = netsolve_proto::version_downgrades();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
+                netsolve_proto::mirror_version_downgrades(&self.metrics);
                 Message::TraceReply {
                     component: "server".to_string(),
                     spans: self.tracer.snapshot_trace(*trace_id),
                 }
             }
             Message::StatsQuery => {
-                // Mirror the process-wide protocol downgrade count into
-                // this registry (monotone catch-up — the counter may lag
-                // between stats queries, never run backwards).
-                let c = self.metrics.counter("proto.version_downgrade");
-                let global = netsolve_proto::version_downgrades();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
-                // Likewise for sends that missed the thread-local write
-                // scratch (reentrant writers only; should stay at zero).
-                let c = self.metrics.counter("proto.write_scratch_fallback");
-                let global = netsolve_proto::write_scratch_fallbacks();
-                let seen = c.get();
-                if global > seen {
-                    c.add(global - seen);
-                }
+                netsolve_proto::mirror_version_downgrades(&self.metrics);
                 Message::StatsReply(self.metrics.snapshot("server"))
             }
             Message::Ping => Message::Pong,
@@ -491,25 +468,6 @@ mod tests {
                     .map(|(_, v)| *v)
                     .expect("proto.version_downgrade counter missing from stats");
                 assert!(n >= 1, "downgrade not counted: {n}");
-            }
-            other => panic!("expected StatsReply, got {other:?}"),
-        }
-    }
-
-    /// The write-scratch fallback counter must be present in stats (its
-    /// value stays zero unless a reentrant send bypassed the scratch).
-    #[test]
-    fn stats_surface_write_scratch_fallbacks() {
-        let core = ServerCore::with_standard_catalogue();
-        match core.handle_message(&Message::StatsQuery) {
-            Message::StatsReply(snap) => {
-                let n = snap
-                    .counters
-                    .iter()
-                    .find(|(name, _)| name == "proto.write_scratch_fallback")
-                    .map(|(_, v)| *v)
-                    .expect("proto.write_scratch_fallback counter missing from stats");
-                assert_eq!(n, netsolve_proto::write_scratch_fallbacks());
             }
             other => panic!("expected StatsReply, got {other:?}"),
         }

@@ -571,11 +571,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                         let sstate = &servers[server];
                         let w = scenario.servers[server].external_load(now.as_secs());
                         (
-                            netsolve_agent::should_report(
-                                sstate.last_reported,
-                                w,
-                                &scenario.workload,
-                            ),
+                            scenario.workload.should_report(sstate.last_reported, w),
                             w,
                             sstate.id,
                             sstate.crashed,
